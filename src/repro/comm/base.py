@@ -148,6 +148,15 @@ class Communicator(abc.ABC):
         if self.checks is not None and self.checks.enabled:
             self.checks.check(point, **payload)
 
+    def _wants(self, event_type) -> bool:
+        """Whether an ``event_type`` event would reach a bus subscriber.
+
+        Emitters check this before building events.  Bare profilers
+        (anything with only ``record_*`` methods) want nothing.
+        """
+        wants = getattr(self.profiler, "wants", None)
+        return wants is not None and wants(event_type)
+
     def _publish(self, event) -> None:
         """Emit a typed observability event through the profiler's bus.
 

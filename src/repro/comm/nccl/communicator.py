@@ -173,7 +173,7 @@ class NcclCommunicator(Communicator):
         this is the per-link contention counter the Prometheus export
         surfaces as ``link_wait_time_total``.
         """
-        if wait <= 0:
+        if wait <= 0 or not self._wants(LinkWaitEvent):
             return
         for src, dst, link_name, link_type in self._ring_hops:
             self._publish(LinkWaitEvent(
@@ -194,7 +194,7 @@ class NcclCommunicator(Communicator):
         all-gather structure.
         """
         hops = self._ring_hops
-        if not hops or end <= start:
+        if not hops or end <= start or not self._wants(RingStepEvent):
             return
         steps = hops[:-1] if len(hops) > 1 else hops  # last hop closes the cycle
         slot = (end - start) / len(steps)
@@ -231,6 +231,8 @@ class NcclCommunicator(Communicator):
 
     def _emit_choice(self, choice: TuningChoice, array: WeightArray,
                      at: float) -> None:
+        if not self._wants(ProtocolChoiceEvent):
+            return
         self._publish(ProtocolChoiceEvent(
             collective=choice.collective, array=array.name,
             nbytes=choice.nbytes, algorithm=choice.algorithm.value,
@@ -249,7 +251,8 @@ class NcclCommunicator(Communicator):
         steady-state, where all levels of the tree carry consecutive
         chunks simultaneously.
         """
-        if not self._tree_edges or end <= start:
+        if (not self._tree_edges or end <= start
+                or not self._wants(CollectiveChunkEvent)):
             return
         schedule = tree_hop_bytes(choice.collective, choice.nbytes,
                                   len(self._tree_edges))
@@ -314,6 +317,9 @@ class NcclCommunicator(Communicator):
     # Weight-update path
     # ------------------------------------------------------------------
     def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
+        # Each step stays a process: inlining any of them reorders requests
+        # that reach the NCCL stream or a GPU engine at the same instant
+        # and moves epoch times (docs/PERF.md, "Hot-path rules").
         yield self.env.process(self._collective("reduce", array))
         yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
         yield self.env.process(self._collective("broadcast", array))
@@ -360,12 +366,8 @@ class NcclCommunicator(Communicator):
         self._emit_stream_waits(start - queued, start)
         # Each GPU launches its cooperative kernel; the brief SM occupancy
         # contends with backward-pass compute on every device.
-        taxes = [
-            self.env.process(
-                dev.run_kernel(self._collective_kernel(kind, array, c.nccl_engine_tax))
-            )
-            for dev in self.devices
-        ]
+        tax = self._collective_kernel(kind, array, c.nccl_engine_tax)
+        taxes = [self.env.process(dev.run_kernel(tax)) for dev in self.devices]
         try:
             yield self.env.timeout(duration)
             yield self.env.all_of(taxes)

@@ -112,14 +112,14 @@ class P2PCommunicator(Communicator):
     def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
         if self.num_gpus == 1:
             # Single GPU: just the local SGD update.
-            yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
+            yield from self.server.run_kernel(self._update_kernel(array))
             return
         if array.numel >= BIGARRAY_BOUND_ELEMENTS:
-            yield self.env.process(self._sharded_sync(array))
+            yield from self._sharded_sync(array)
             return
-        yield self.env.process(self._tree_reduce(array))
-        yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
-        yield self.env.process(self._tree_broadcast(array))
+        yield from self._tree_reduce(array)
+        yield from self.server.run_kernel(self._update_kernel(array))
+        yield from self._tree_broadcast(array)
 
     # ------------------------------------------------------------------
     # Sharded path (MXNet's big-array bound)
@@ -169,7 +169,7 @@ class P2PCommunicator(Communicator):
             flops=float(shard_numel * n_in),
             bytes_moved=shard_bytes * (n_in + 2),
         )
-        yield self.env.process(owner.run_kernel(accumulate))
+        yield from owner.run_kernel(accumulate)
         update = KernelSpec(
             name=f"{self.optimizer.name}_update.{array.name}.shard{owner_pos}",
             layer=array.layer,
@@ -182,7 +182,7 @@ class P2PCommunicator(Communicator):
             flops=self.optimizer.flops_per_param * shard_numel,
             bytes_moved=self.optimizer.memory_passes * shard_bytes,
         )
-        yield self.env.process(owner.run_kernel(update))
+        yield from owner.run_kernel(update)
         sends = [
             self.env.process(
                 self._shard_transfer(array, owner.index, self.devices[dst].index,
@@ -215,8 +215,10 @@ class P2PCommunicator(Communicator):
     def _tree_reduce(self, array: WeightArray) -> Generator[Event, None, None]:
         """Gradients flow up the binomial tree onto GPU0, chunk-pipelined."""
         chunks = _split_chunks(self._comm_bytes(array), P2P_CHUNK_BYTES)
-        # ready[gpu][c]: chunk c of the partial sum is complete on gpu.
+        # ready[gpu][c]: chunk c of the partial sum is complete on gpu,
+        # once missing[gpu][c] children have delivered their chunk c.
         ready: Dict[int, List[Event]] = {}
+        missing: Dict[int, List[int]] = {}
         device_by_index = {d.index: d for d in self.devices}
         for dev in self.devices:
             events = []
@@ -225,10 +227,9 @@ class P2PCommunicator(Communicator):
                 ev = self.env.event()
                 if n_children == 0:
                     ev.succeed()  # leaf: own gradient is already there
-                else:
-                    ev._pending_children = n_children  # type: ignore[attr-defined]
                 events.append(ev)
             ready[dev.index] = events
+            missing[dev.index] = [n_children] * len(chunks)
 
         edge_processes = []
         for stage in self._reduce_stages:
@@ -237,7 +238,7 @@ class P2PCommunicator(Communicator):
                 edge_processes.append(
                     self.env.process(
                         self._reduce_edge(array, src, dst, chunks, ready,
-                                          device_by_index[dst])
+                                          missing[dst], device_by_index[dst])
                     )
                 )
         yield self.env.all_of(edge_processes)
@@ -249,6 +250,7 @@ class P2PCommunicator(Communicator):
         dst: int,
         chunks: List[int],
         ready: Dict[int, List[Event]],
+        dst_missing: List[int],
         dst_device,
     ) -> Generator[Event, None, None]:
         """One tree edge: dispatch setup, pipelined chunks, add on parent."""
@@ -266,22 +268,14 @@ class P2PCommunicator(Communicator):
             yield ready[src][c]
             for leg in route.legs:
                 yield self.env.process(self.fabric.dma(leg, chunk_bytes))
-            self._chunk_arrived(ready[dst][c])
+            # Count down the per-chunk barrier on the receiving GPU.
+            dst_missing[c] -= 1
+            if dst_missing[c] == 0:
+                ready[dst][c].succeed()
         self._record_transfer("p2p", src, dst, sum(chunks), start, self.env.now)
         # Accumulate on the parent's compute engine (contends with BP).
-        yield self.env.process(
-            dst_device.run_kernel(self._add_kernel(array, f"g{src}->g{dst}"))
-        )
-
-    @staticmethod
-    def _chunk_arrived(event: Event) -> None:
-        """Count down the per-chunk barrier on the receiving GPU."""
-        pending = getattr(event, "_pending_children", 0)
-        if pending <= 1:
-            if not event.triggered:
-                event.succeed()
-        else:
-            event._pending_children = pending - 1  # type: ignore[attr-defined]
+        yield from dst_device.run_kernel(
+            self._add_kernel(array, f"g{src}->g{dst}"))
 
     # ------------------------------------------------------------------
     # Broadcast

@@ -38,12 +38,10 @@ class PsGpuCommunicator(P2PCommunicator):
     def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
         if self.num_gpus == 1:
             # Single GPU: just the local optimizer update.
-            yield self.env.process(
-                self.server.run_kernel(self._update_kernel(array)))
+            yield from self.server.run_kernel(self._update_kernel(array))
             return
         # Whole arrays always aggregate on the server -- the BIGARRAY
         # sharding of the tree schedule never applies.
-        yield self.env.process(self._tree_reduce(array))
-        yield self.env.process(
-            self.server.run_kernel(self._update_kernel(array)))
-        yield self.env.process(self._tree_broadcast(array))
+        yield from self._tree_reduce(array)
+        yield from self.server.run_kernel(self._update_kernel(array))
+        yield from self._tree_broadcast(array)

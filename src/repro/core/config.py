@@ -48,6 +48,19 @@ class ScalingMode(str, enum.Enum):
         return self.value
 
 
+def _coerce_enum(enum_type, value, field_name: str):
+    """``value`` as a member of ``enum_type``, accepting its string value."""
+    if isinstance(value, enum_type):
+        return value
+    try:
+        return enum_type(value)
+    except (ValueError, TypeError):
+        valid = [member.value for member in enum_type]
+        raise ConfigurationError(
+            f"{field_name} must be one of {valid}, got {value!r}"
+        ) from None
+
+
 #: Valid ``TrainingConfig.nccl_algorithm`` values.  ``"compat"`` pins the
 #: pre-fidelity-layer ring model exactly (byte-stable golden outputs);
 #: ``"auto"`` mirrors NCCL's internal cost-model selection; ``"ring"`` /
@@ -151,6 +164,12 @@ class TrainingConfig:
     cluster_fast_path: str = "auto"
 
     def __post_init__(self) -> None:
+        # Accept the enums' string values too ("p2p", "weak", ...); the
+        # stored field is always the enum member, so fingerprints match.
+        object.__setattr__(self, "comm_method", _coerce_enum(
+            CommMethodName, self.comm_method, "comm_method"))
+        object.__setattr__(self, "scaling", _coerce_enum(
+            ScalingMode, self.scaling, "scaling"))
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
         if self.num_gpus < 1:

@@ -12,6 +12,7 @@ The resulting :class:`NetworkStats` feeds three consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dnn.layers.base import Layer, LayerKind, ParamArray
@@ -171,8 +172,16 @@ class NetworkStats:
     def weighted_layer_count(self) -> int:
         return sum(1 for l in self.layers if l.is_weighted)
 
+    @cached_property
+    def _arrays_by_layer(self) -> Dict[str, Tuple[WeightArray, ...]]:
+        by_layer: Dict[str, List[WeightArray]] = {}
+        for w in self.weight_arrays:
+            by_layer.setdefault(w.layer, []).append(w)
+        return {layer: tuple(arrays) for layer, arrays in by_layer.items()}
+
     def arrays_of_layer(self, layer_name: str) -> Tuple[WeightArray, ...]:
-        return tuple(w for w in self.weight_arrays if w.layer == layer_name)
+        """The layer's weight arrays, in ``weight_arrays`` order."""
+        return self._arrays_by_layer.get(layer_name, ())
 
 
 def compile_network(network: Network, input_shape: Shape) -> NetworkStats:

@@ -5,7 +5,9 @@ training kernels are large enough to occupy the whole SM array, so kernels
 issued to any stream of one GPU serialize, while different GPUs run fully
 in parallel.  Kernel executions are reported to an optional profiler
 (anything with a ``record_kernel`` method; see
-:class:`repro.profile.profiler.Profiler`).
+:class:`repro.profile.profiler.Profiler`); profilers that also have
+``wants``/``publish`` receive an engine-queueing event per delayed kernel
+when a subscriber wants one.
 """
 
 from __future__ import annotations
@@ -49,16 +51,14 @@ class GpuDevice:
                 raise ValueError("speed_factor must be positive")
         self.env = env
         self.node = node
+        #: CUDA device ordinal (``node.index``).
+        self.index = node.index
         self.spec = spec
         self.profiler = profiler
         self.speed_factor = speed_factor
         self.ecc = ecc
         self.engine = Resource(env, capacity=1)
         self.busy_time = 0.0
-
-    @property
-    def index(self) -> int:
-        return self.node.index
 
     def run_kernel(self, kernel: KernelSpec) -> Generator[Event, None, None]:
         """Process: execute one kernel on this GPU's SM array."""
@@ -78,16 +78,18 @@ class GpuDevice:
             end = self.env.now
             self.busy_time += end - start
             self.engine.release(req)
-            if self.profiler is not None:
-                self.profiler.record_kernel(self.index, kernel, start, end)
+            profiler = self.profiler
+            if profiler is not None:
+                profiler.record_kernel(self.index, kernel, start, end)
                 # Queueing delay behind earlier kernels, for the metrics
-                # bridge (profilers without a bus simply lack ``publish``).
-                publish = getattr(self.profiler, "publish", None)
-                if publish is not None and start > issued:
-                    publish(EngineWaitEvent(
-                        gpu=self.index, kernel=kernel.name,
-                        wait=start - issued, at=start,
-                    ))
+                # bridge (bare profilers simply lack ``wants``).
+                if start > issued:
+                    wants = getattr(profiler, "wants", None)
+                    if wants is not None and wants(EngineWaitEvent):
+                        profiler.publish(EngineWaitEvent(
+                            gpu=self.index, kernel=kernel.name,
+                            wait=start - issued, at=start,
+                        ))
 
     def run_kernels(self, kernels) -> Generator[Event, None, None]:
         """Process: execute a list of kernels back to back."""

@@ -47,6 +47,14 @@ class EventBus:
         for handler in self._handlers.get(None, ()):
             handler(event)
 
+    def wants(self, event_type: Type[ObsEvent]) -> bool:
+        """Whether publishing an ``event_type`` event would reach a handler.
+
+        Emitters on the simulation hot path ask this before building an
+        event, so an unobserved run never constructs one.
+        """
+        return bool(self._handlers.get(event_type) or self._handlers.get(None))
+
     def subscriber_count(self, event_type: Optional[Type[ObsEvent]] = None) -> int:
         """Number of handlers registered for ``event_type`` (or wildcard)."""
         key = None if event_type in (None, ObsEvent) else event_type

@@ -8,6 +8,7 @@ another process to join on its completion.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 from repro.core.errors import SimulationError
@@ -23,8 +24,12 @@ class Event:
     """A one-shot occurrence at a point in simulated time.
 
     Callbacks receive the event itself once it is processed.  ``succeed``
-    and ``fail`` trigger the event; triggering twice is an error.
+    and ``fail`` trigger the event; triggering twice is an error.  Events
+    are slotted: their attributes are engine state only, and callers keep
+    any bookkeeping of their own beside the event.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -52,16 +57,20 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # Environment.schedule(self), inlined: this is the engine's
+        # hottest call.
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception; waiters will re-raise it."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
@@ -78,14 +87,21 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Born triggered and scheduled: every slot is set here, and
+        # Environment.schedule is inlined (delay is already checked).
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._processed = False
+        self.delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, env._eid, self))
 
 
 class Interrupt(Exception):
@@ -104,6 +120,8 @@ class Process(Event):
     generator, letting simulation code use ordinary ``try``/``except``.
     """
 
+    __slots__ = ("_generator", "_target")
+
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         super().__init__(env)
         if not hasattr(generator, "send"):
@@ -111,11 +129,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         # Kick the process off at the current simulation time.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        env.schedule(init)
+        Timeout(env, 0.0).callbacks.append(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -138,10 +152,10 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         self._target = None
         try:
-            if trigger.ok:
-                next_event = self._generator.send(trigger.value)
+            if trigger._ok:
+                next_event = self._generator.send(trigger._value)
             else:
-                next_event = self._generator.throw(trigger.value)
+                next_event = self._generator.throw(trigger._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -173,6 +187,8 @@ class AllOf(Event):
     Already-processed constituents count immediately; a failed constituent
     fails the combinator with the same exception.
     """
+
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -207,6 +223,8 @@ class AnyOf(Event):
 
     An empty event list succeeds immediately with ``None``.
     """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)

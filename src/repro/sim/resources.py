@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, env: "Environment", resource: "Resource") -> None:
         super().__init__(env)
         self.resource = resource

@@ -11,7 +11,7 @@ effect that serializes the P2P parameter-server traffic into GPU0.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, NamedTuple, Optional, Tuple
 
 from repro.core.constants import CALIBRATION, CalibrationConstants
 from repro.obs.events import LinkBusyEvent, LinkWaitEvent
@@ -28,6 +28,17 @@ from repro.topology.system import SystemTopology
 DirectedKey = Tuple[str, str]
 
 
+class _Hop(NamedTuple):
+    """One directed link as a DMA uses it: endpoints, FIFO, cost terms."""
+
+    link: Link
+    src: Node
+    dst: Node
+    channel: Resource
+    latency: float
+    bandwidth: float
+
+
 class Fabric:
     """Link-contention state for one simulation run."""
 
@@ -39,11 +50,12 @@ class Fabric:
         observer: Optional[object] = None,
         checks: Optional[object] = None,
     ) -> None:
-        """``observer`` is anything with a ``publish(event)`` method
-        (normally the run's :class:`~repro.profile.profiler.Profiler`);
-        every DMA then emits per-directed-link
-        :class:`~repro.obs.events.LinkBusyEvent` /
-        :class:`~repro.obs.events.LinkWaitEvent` records.
+        """``observer`` is anything with ``publish(event)`` and
+        ``wants(event_type)`` methods (normally the run's
+        :class:`~repro.profile.profiler.Profiler`); every DMA then emits
+        per-directed-link :class:`~repro.obs.events.LinkBusyEvent` /
+        :class:`~repro.obs.events.LinkWaitEvent` records, built only when
+        ``wants`` says a subscriber would receive them.
 
         ``checks`` is an optional :class:`~repro.checks.CheckEngine`; when
         enabled, every DMA fires the ``fabric.dma`` checkpoint (link
@@ -57,6 +69,8 @@ class Fabric:
         # while checks are active (feeds temporal.link-serialization).
         self._busy_until: Dict[DirectedKey, float] = {}
         self._channels: Dict[DirectedKey, Resource] = {}
+        # Directed-link facts each DMA needs, filled on first use.
+        self._hops: Dict[DirectedKey, _Hop] = {}
         for link in topology.links:
             self._channels[(link.name, link.a.name)] = Resource(env)
             self._channels[(link.name, link.b.name)] = Resource(env)
@@ -66,16 +80,28 @@ class Fabric:
         #: Contention: cumulative FIFO-queueing wait per link (seconds).
         self.wait_time: Dict[str, float] = {link.name: 0.0 for link in topology.links}
 
-    def _publish(self, event) -> None:
-        if self.observer is not None:
-            self.observer.publish(event)
-
     def channel(self, link: Link, source: Node) -> Resource:
         """The FIFO resource guarding ``link`` in the ``source ->`` direction."""
         try:
             return self._channels[(link.name, source.name)]
         except KeyError:
             raise ValueError(f"{source} is not an endpoint of {link.name}") from None
+
+    def _hop(self, link: Link, source: Node) -> _Hop:
+        """The per-run facts about ``link`` in the ``source ->`` direction."""
+        key = (link.name, source.name)
+        hop = self._hops.get(key)
+        if hop is None:
+            channel = self.channel(link, source)
+            hop = self._hops[key] = _Hop(
+                link=link,
+                src=source,
+                dst=link.other(source),
+                channel=channel,
+                latency=link.latency(self.constants),
+                bandwidth=link.effective_bandwidth(self.constants),
+            )
+        return hop
 
     # ------------------------------------------------------------------
     # DMA processes
@@ -91,55 +117,63 @@ class Fabric:
             PERF.count("fabric.dmas")
             PERF.count("fabric.bytes", nbytes)
         requested = self.env.now
-        requests = []
+        hops = []
         current = leg.src
         for link in leg.links:
-            requests.append((link, current, self.channel(link, current).request()))
-            current = link.other(current)
-        for _, _, req in requests:
+            hop = self._hop(link, current)
+            hops.append((hop, hop.channel.request()))
+            current = hop.dst
+        for _, req in hops:
             yield req
         granted = self.env.now
         wait = granted - requested
-        wire_time = leg.latency(self.constants) + nbytes / leg.bandwidth(self.constants)
+        # Same reductions, in the same order, as Leg.latency/bandwidth.
+        latency = sum(hop.latency for hop, _ in hops)
+        bandwidth = min(hop.bandwidth for hop, _ in hops)
+        wire_time = latency + nbytes / bandwidth
         try:
             yield self.env.timeout(wire_time)
         finally:
             end = self.env.now
             if self.checks is not None:
                 windows = []
-                for link, src, _ in requests:
-                    key = (link.name, src.name)
+                for hop, _ in hops:
+                    key = (hop.link.name, hop.src.name)
                     prev = self._busy_until.get(key)
                     if prev is not None:
-                        windows.append((f"{link.name}:{src.name}->", prev))
+                        windows.append((f"{hop.link.name}:{hop.src.name}->", prev))
                     self._busy_until[key] = end
                 self.checks.check(
                     "fabric.dma",
                     nbytes=nbytes,
                     wire_time=wire_time,
-                    latency=leg.latency(self.constants),
-                    bandwidth=leg.bandwidth(self.constants),
+                    latency=latency,
+                    bandwidth=bandwidth,
                     granted=granted,
                     end=end,
                     windows=windows,
                     now=end,
                 )
-            for link, src, req in requests:
-                self.bytes_moved[link.name] += nbytes
-                self.busy_time[link.name] += wire_time
-                self.wait_time[link.name] += wait
-                req.resource.release(req)
-                if self.observer is not None:
-                    dst = link.other(src)
-                    link_type = link.link_type.value
-                    if wait > 0:
-                        self._publish(LinkWaitEvent(
-                            link=link.name, src=src.name, dst=dst.name,
-                            link_type=link_type, wait=wait, at=granted,
-                        ))
-                    self._publish(LinkBusyEvent(
-                        link=link.name, src=src.name, dst=dst.name,
-                        link_type=link_type, nbytes=nbytes,
+            observer = self.observer
+            publish_wait = (observer is not None and wait > 0
+                            and observer.wants(LinkWaitEvent))
+            publish_busy = observer is not None and observer.wants(LinkBusyEvent)
+            for hop, req in hops:
+                name = hop.link.name
+                self.bytes_moved[name] += nbytes
+                self.busy_time[name] += wire_time
+                self.wait_time[name] += wait
+                hop.channel.release(req)
+                if publish_wait:
+                    observer.publish(LinkWaitEvent(
+                        link=name, src=hop.src.name, dst=hop.dst.name,
+                        link_type=hop.link.link_type.value, wait=wait,
+                        at=granted,
+                    ))
+                if publish_busy:
+                    observer.publish(LinkBusyEvent(
+                        link=name, src=hop.src.name, dst=hop.dst.name,
+                        link_type=hop.link.link_type.value, nbytes=nbytes,
                         start=granted, end=end,
                     ))
 
@@ -151,6 +185,8 @@ class Fabric:
         CUDA actually perform them.
         """
         start = self.env.now
+        # One process per leg keeps the order of same-instant link events
+        # (docs/PERF.md, "Hot-path rules").
         for leg in route.legs:
             yield self.env.process(self.dma(leg, nbytes))
         return self.env.now - start

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import CalibrationConstants
 from repro.core.errors import RoutingError
@@ -92,16 +92,31 @@ class Route:
 
 
 class Router:
-    """Computes :class:`Route` objects over a :class:`SystemTopology`."""
+    """Computes :class:`Route` objects over a :class:`SystemTopology`.
+
+    Topologies are immutable, so each endpoint pair is routed once per
+    router and the same :class:`Route` is returned on every later call.
+    """
 
     def __init__(self, topology: SystemTopology) -> None:
         self.topology = topology
+        self._routes: Dict[Tuple[str, str], Route] = {}
+
+    def _memo(self, src: Node, dst: Node, plan) -> Route:
+        key = (src.name, dst.name)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = plan(src, dst)
+        return route
 
     # ------------------------------------------------------------------
     # GPU <-> GPU
     # ------------------------------------------------------------------
     def gpu_to_gpu(self, src: GpuNode, dst: GpuNode) -> Route:
         """Best route between two GPUs, preferring NVLink."""
+        return self._memo(src, dst, self._plan_gpu_to_gpu)
+
+    def _plan_gpu_to_gpu(self, src: GpuNode, dst: GpuNode) -> Route:
         if src == dst:
             return Route(RouteKind.LOCAL, ())
         direct = self.topology.nvlink_between(src, dst)
@@ -164,6 +179,9 @@ class Router:
     # ------------------------------------------------------------------
     def cpu_to_gpu(self, cpu: CpuNode, gpu: GpuNode) -> Route:
         """HtoD route used when the CPU sends mini-batches to a GPU."""
+        return self._memo(cpu, gpu, self._plan_cpu_to_gpu)
+
+    def _plan_cpu_to_gpu(self, cpu: CpuNode, gpu: GpuNode) -> Route:
         up = list(reversed(self._pcie_links(gpu)))
         home = self.topology.home_cpu(gpu)
         links: List[Link] = list(up)

@@ -506,10 +506,10 @@ class AsyncUpdateStrategy(ReductionStrategy):
                 + c.input_cost_per_image * host.config.batch_size
             )
             for kernel in host._fwd:
-                yield env.process(dev.run_kernel(kernel))
+                yield from dev.run_kernel(kernel)
             for _, kernels in host._bwd:
                 for kernel in kernels:
-                    yield env.process(dev.run_kernel(kernel))
+                    yield from dev.run_kernel(kernel)
             # Push gradients; the server updates immediately on arrival.
             if pos != 0:
                 route = router.gpu_to_gpu(
@@ -519,7 +519,7 @@ class AsyncUpdateStrategy(ReductionStrategy):
                 yield env.timeout(c.p2p_copy_setup)
                 yield from fabric.pipelined_transfer(
                     route, model_bytes, 4 * 2**20)
-            yield env.process(server.run_kernel(self._update_kernel(host)))
+            yield from server.run_kernel(self._update_kernel(host))
             staleness = state.version - version_seen
             state.version += 1
             state.staleness_records.append((pos, iteration, staleness))

@@ -955,6 +955,9 @@ class Trainer:
             self.constants.input_pipeline_residual
             + self.constants.input_cost_per_image * self.config.batch_size
         )
+        # A process per kernel, not ``yield from``: its start and completion
+        # events fix the order of same-instant records (docs/PERF.md,
+        # "Hot-path rules").
         with profiler.span("fp", dev.index, iteration):
             for kernel in self._fwd:
                 yield env.process(dev.run_kernel(kernel))

@@ -140,3 +140,52 @@ def test_nonpositive_batch_and_gpus_rejected():
         TrainingConfig("lenet", -4, 1)
     with pytest.raises(ConfigurationError):
         TrainingConfig("lenet", 16, 0)
+
+
+# ----------------------------------------------------------------------
+# String values for the enum fields
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("method", list(CommMethodName))
+def test_comm_method_accepts_its_string_value(method):
+    c = TrainingConfig("lenet", 16, 2, comm_method=method.value)
+    assert c.comm_method is method
+
+
+@pytest.mark.parametrize("mode", list(ScalingMode))
+def test_scaling_accepts_its_string_value(mode):
+    c = TrainingConfig("lenet", 16, 2, scaling=mode.value)
+    assert c.scaling is mode
+
+
+def test_string_comm_method_trains():
+    from repro.train import train
+
+    result = train(TrainingConfig(network="alexnet", batch_size=16,
+                                  num_gpus=2, comm_method="p2p"))
+    assert result.config.comm_method is CommMethodName.P2P
+    assert result.config.describe() == "alexnet/b16/g2/p2p"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("comm_method", "mpi"), ("comm_method", "P2P"), ("comm_method", 3),
+    ("scaling", "sideways"), ("scaling", None),
+])
+def test_unknown_enum_value_names_the_valid_ones(field, value):
+    with pytest.raises(ConfigurationError, match=field) as exc:
+        TrainingConfig("lenet", 16, 2, **{field: value})
+    enum_type = CommMethodName if field == "comm_method" else ScalingMode
+    for member in enum_type:
+        assert repr(member.value) in str(exc.value)
+
+
+def test_string_and_enum_inputs_share_a_fingerprint():
+    from repro.core.constants import CALIBRATION
+    from repro.runner import SweepPoint, point_fingerprint
+
+    def key(**fields):
+        point = SweepPoint(config=TrainingConfig("alexnet", 16, 4, **fields))
+        return point_fingerprint(point, SimulationConfig(), CALIBRATION)
+
+    assert key(comm_method="p2p", scaling="weak") == key(
+        comm_method=CommMethodName.P2P, scaling=ScalingMode.WEAK)
+    assert key() == key(comm_method="nccl", scaling="strong")

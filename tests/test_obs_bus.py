@@ -7,6 +7,7 @@ from repro.obs import (
     ApiEvent,
     EventBus,
     KernelEvent,
+    LinkBusyEvent,
     ObsEvent,
     SpanEvent,
     TransferEvent,
@@ -90,6 +91,34 @@ def test_record_calls_publish_typed_events():
     ]
     # List accumulation rides the same stream.
     assert len(p.kernels) == len(p.transfers) == len(p.apis) == len(p.spans) == 1
+
+
+def test_bus_wants_only_subscribed_types():
+    bus = EventBus()
+    assert not bus.wants(KernelEvent)
+    bus.subscribe(KernelEvent, lambda e: None)
+    assert bus.wants(KernelEvent)
+    assert not bus.wants(SpanEvent)
+
+
+def test_bus_wants_everything_with_a_wildcard_subscriber():
+    bus = EventBus()
+    handler = bus.subscribe(None, lambda e: None)
+    assert bus.wants(SpanEvent) and bus.wants(TransferEvent)
+    bus.unsubscribe(None, handler)
+    assert not bus.wants(SpanEvent)
+
+
+def test_profiler_wants_follows_bus_and_measurement_window():
+    p = Profiler(enabled=True)
+    # The profiler's own record lists subscribe to the four record types.
+    assert p.wants(KernelEvent)
+    assert not p.wants(LinkBusyEvent)
+    p.bus.subscribe(None, lambda e: None)
+    assert p.wants(LinkBusyEvent)
+    p.enabled = False
+    assert not p.wants(KernelEvent)
+    assert not p.wants(LinkBusyEvent)
 
 
 def test_disabled_profiler_publishes_nothing():

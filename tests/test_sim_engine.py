@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine core."""
 
+import heapq
+
 import pytest
 
 from repro.core.errors import SimulationError
@@ -134,3 +136,107 @@ def test_determinism_across_runs():
         return log
 
     assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------------------
+# Guards of the dispatch loop
+# ----------------------------------------------------------------------
+class _CountingChecks:
+    """A stand-in check engine that records every checkpoint it sees."""
+
+    enabled = True
+
+    def __init__(self):
+        self.calls = []
+
+    def check(self, point, **payload):
+        self.calls.append((point, payload))
+
+
+def _busy_environment():
+    env = Environment()
+
+    def worker(env, delay):
+        for _ in range(4):
+            yield env.timeout(delay)
+
+    for delay in (0.5, 1.0, 0.0):
+        env.process(worker(env, delay))
+    return env
+
+
+def test_step_processes_exactly_one_event():
+    env = Environment()
+    order = []
+    for tag in ("a", "b"):
+        env.timeout(1.0).callbacks.append(lambda ev, t=tag: order.append(t))
+    env.step()
+    assert order == ["a"] and env.dispatched == 1
+    env.step()
+    assert order == ["a", "b"] and env.dispatched == 2
+
+
+def test_event_in_the_past_is_rejected():
+    env = Environment()
+    env.run(until=5.0)
+    stale = env.event()
+    heapq.heappush(env._queue, (1.0, -1, stale))
+    with pytest.raises(SimulationError, match="past"):
+        env.step()
+
+
+def test_yielding_foreign_event_fails_the_process():
+    env, other = Environment(), Environment()
+
+    def proc(env):
+        yield other.timeout(1.0)
+
+    p = env.process(proc(env))
+    with pytest.raises(SimulationError, match="another environment"):
+        env.run(until=p)
+
+
+def test_event_checkpoint_fires_once_per_dispatched_event():
+    env = _busy_environment()
+    checks = _CountingChecks()
+    env.set_checks(checks)
+    env.run()
+    assert env.dispatched > 0
+    assert len(checks.calls) == env.dispatched
+    assert {point for point, _ in checks.calls} == {"sim.event"}
+    # Each checkpoint sees the popped timestamp before the clock moves.
+    assert all(p["when"] >= p["now"] for _, p in checks.calls)
+
+
+def test_disabled_check_engine_is_not_attached():
+    env = _busy_environment()
+    checks = _CountingChecks()
+    checks.enabled = False
+    env.set_checks(checks)
+    env.run()
+    assert checks.calls == []
+
+
+@pytest.mark.parametrize("every", [1, 3, 7])
+def test_observer_called_every_nth_event(every):
+    env = _busy_environment()
+    samples = []
+    env.set_observer(lambda now, depth: samples.append((now, depth)),
+                     every=every)
+    env.run()
+    assert len(samples) == env.dispatched // every
+    assert all(depth >= 0 for _, depth in samples)
+
+
+def test_observer_sampling_continues_across_runs():
+    env = _busy_environment()
+    samples = []
+    env.set_observer(lambda now, depth: samples.append(now), every=2)
+    env.run(until=1.0)
+    env.run()
+    assert len(samples) == env.dispatched // 2
+
+
+def test_observer_interval_must_be_positive():
+    with pytest.raises(SimulationError):
+        Environment().set_observer(lambda now, depth: None, every=0)
