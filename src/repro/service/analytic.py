@@ -54,7 +54,10 @@ def _estimate(
     from repro.train.trainer import Trainer
 
     trainer = Trainer(config, constants=constants, check_memory=False)
-    _env, _profiler, fabric, _router, devices, comm = trainer._build_system()
+    _env, _profiler, fabric, _router, devices, comm = trainer._build_system(
+        trainer._base_topology(), range(trainer._simulated_gpus),
+        config.cluster_nodes,
+    )
     compute = trainer._kernel_seconds * max(
         (device_factor_floor(dev) for dev in devices), default=1.0
     )

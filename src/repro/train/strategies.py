@@ -43,10 +43,9 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import CommMethodName
 from repro.core.errors import ConfigurationError, FaultPlanError
+from repro.faults.plan import FaultPlan
 from repro.gpu import GpuDevice
 from repro.gpu.kernel import KernelSpec
-from repro.profile import MemoryMonitor
-from repro.profile.summary import ApiSummary, StageBreakdown
 from repro.sim import Environment
 from repro.sim.events import Event
 from repro.topology import Fabric, Router, build_dgx1v
@@ -63,7 +62,7 @@ ASYNC_MEASURE_ITERATIONS = 4
 AUTO_ANALYTIC_NODES = 4
 
 
-def resolve_fast_path(config, faults=None) -> str:
+def resolve_fast_path(config, faults: FaultPlan = FaultPlan()) -> str:
     """The concrete collective fast path a config (and fault plan) selects.
 
     ``"auto"`` keeps the fully event-driven path up to
@@ -86,7 +85,7 @@ def resolve_fast_path(config, faults=None) -> str:
             "analytic" if config.cluster_nodes > AUTO_ANALYTIC_NODES
             else "event"
         )
-    if resolved != "analytic" or faults is None or faults.empty:
+    if resolved != "analytic" or faults.empty:
         return resolved
     conflict = faults.analytic_conflict()
     if conflict is None:
@@ -107,8 +106,8 @@ class RecoverySemantics:
     """What the fault/resilience layer may assume about a strategy.
 
     ``supports_faults``
-        The segment-based faulted epoch assembly
-        (:meth:`~repro.train.trainer.Trainer._run_faulted`) applies: the
+        The segment-based epoch assembly
+        (:meth:`~repro.train.trainer.Trainer._run_segments`) applies: the
         strategy rebuilds its communicator per degraded segment.
     ``ring_rebuild``
         Recovering from a link fault or crash additionally pays the NCCL
@@ -183,12 +182,16 @@ class ReductionStrategy:
     # ------------------------------------------------------------------
     # System construction
     # ------------------------------------------------------------------
-    def build_communicator(self, trainer, env, fabric, devices, profiler):
+    def build_communicator(self, trainer, env, fabric, devices, profiler,
+                           cluster_nodes: int,
+                           rail_scales: Optional[Tuple[float, ...]] = None):
         """Build this strategy's communicator for one assembled system.
 
         A non-compat ``cluster_collective`` reroutes the NCCL strategies
-        onto the hierarchical rail-aware communicator (docs/SCALING.md);
-        everything else keeps the flat per-method factory key.
+        onto the hierarchical rail-aware communicator (docs/SCALING.md)
+        over ``cluster_nodes`` nodes, with ``rail_scales`` degrading its
+        rails (``None``: all at full bandwidth); everything else keeps
+        the flat per-method factory key.
         """
         # Imported lazily: repro.comm itself imports the train package
         # (optimizer specs), so a module-level import would be circular.
@@ -201,22 +204,15 @@ class ReductionStrategy:
             from repro.topology.cluster import IB_LANE_BANDWIDTH
 
             key = "nccl-hierarchical"
-            # The faulted segment loop narrows the cluster (a crashed
-            # node shrinks the rank space) and degrades rails; healthy
-            # runs leave both overrides None.
-            nodes = getattr(trainer, "_fault_cluster_nodes", None)
             kwargs = dict(
-                cluster_nodes=(
-                    nodes if nodes is not None else config.cluster_nodes
-                ),
+                cluster_nodes=cluster_nodes,
                 rail_bandwidth=IB_LANE_BANDWIDTH,
                 inter_algorithm=config.cluster_collective.removeprefix(
                     "hierarchical-"),
                 fast_path=resolve_fast_path(config, trainer.faults),
             )
-            scales = getattr(trainer, "_fault_rail_scales", None)
-            if scales is not None:
-                kwargs["rail_scales"] = scales
+            if rail_scales is not None:
+                kwargs["rail_scales"] = rail_scales
         return make_communicator(
             key,
             env,
@@ -271,7 +267,7 @@ class ReductionStrategy:
         raise NotImplementedError
 
     def _check_no_faults(self, trainer) -> None:
-        if trainer.faults is not None and not trainer.faults.empty:
+        if not trainer.faults.empty:
             raise FaultPlanError(
                 f"strategy {self.name!r} declares no fault-recovery "
                 "semantics: fault plans apply to the synchronous "
@@ -282,23 +278,17 @@ class ReductionStrategy:
 class SyncStrategy(ReductionStrategy):
     """Shared execution model of the synchronous data-parallel strategies.
 
-    The epoch is the trainer's measured steady-state extrapolation (or
-    its segment-based faulted assembly); subclasses differ only in the
-    communicator they build and the recovery semantics they declare.
+    The epoch is the trainer's segment-based assembly of measured
+    steady-state extrapolations (one segment without faults); subclasses
+    differ only in the communicator they build and the recovery semantics
+    they declare.
     """
 
     def run(self, trainer) -> TrainingResult:
         from repro.faults.injector import FaultInjector
 
-        if trainer.check_memory:
-            trainer.memory_model.check_fits(
-                trainer.stats,
-                trainer.config.batch_size,
-                is_server=trainer.config.num_gpus > 1,
-            )
-        if trainer.faults is None or trainer.faults.empty:
-            return trainer._run_healthy()
-        return trainer._run_faulted(FaultInjector(trainer.faults))
+        trainer._check_fits()
+        return trainer._run_segments(FaultInjector(trainer.faults))
 
 
 class P2pTreeStrategy(SyncStrategy):
@@ -378,33 +368,11 @@ class AsyncUpdateStrategy(ReductionStrategy):
 
     def run(self, trainer) -> TrainingResult:
         self._check_no_faults(trainer)
-        if trainer.check_memory:
-            trainer.memory_model.check_fits(
-                trainer.stats,
-                trainer.config.batch_size,
-                is_server=trainer.config.num_gpus > 1,
-            )
+        trainer._check_fits()
         measured = self.simulate(trainer)
-        config = trainer.config
-        monitor = MemoryMonitor(trainer.spec, trainer.constants,
-                                optimizer=trainer.optimizer)
-        memory = tuple(
-            monitor.sample(trainer.stats, config.batch_size, config.num_gpus)
-        )
-        return TrainingResult(
-            config=config,
-            iteration_time=measured.iteration_time,
-            iteration_times=measured.iteration_times,
-            epoch_time=measured.epoch_time,
-            fixed_overhead=trainer.constants.run_startup_overhead,
-            stages=StageBreakdown(fp=0.0, bp=0.0, wu=0.0,
-                                  iteration=measured.iteration_time),
-            apis=ApiSummary(totals=()),
-            gpu_busy={},
-            compute_utilization=trainer.cost_model.compute_utilization(
-                trainer.stats, config.batch_size
-            ),
-            memory=memory,
+        return trainer._result(
+            measured.iteration_time, measured.iteration_times,
+            measured.epoch_time, trainer.constants.run_startup_overhead,
             async_stats=measured.stats,
         )
 
@@ -586,29 +554,12 @@ class ModelParallelStrategy(ReductionStrategy):
         from repro.train.model_parallel import ModelParallelEstimator
 
         self._check_no_faults(trainer)
-        config = trainer.config
-        estimator = ModelParallelEstimator(
-            config, constants=trainer.constants, spec=trainer.spec)
-        mp = estimator.run()
-        monitor = MemoryMonitor(trainer.spec, trainer.constants,
-                                optimizer=trainer.optimizer)
-        memory = tuple(
-            monitor.sample(trainer.stats, config.batch_size, config.num_gpus)
-        )
-        return TrainingResult(
-            config=config,
-            iteration_time=mp.iteration_time,
-            iteration_times=(mp.iteration_time,),
-            epoch_time=mp.epoch_time,
-            fixed_overhead=trainer.constants.run_startup_overhead,
-            stages=StageBreakdown(fp=0.0, bp=0.0, wu=0.0,
-                                  iteration=mp.iteration_time),
-            apis=ApiSummary(totals=()),
-            gpu_busy={},
-            compute_utilization=trainer.cost_model.compute_utilization(
-                trainer.stats, config.batch_size
-            ),
-            memory=memory,
+        mp = ModelParallelEstimator(
+            trainer.config, constants=trainer.constants, spec=trainer.spec,
+        ).run()
+        return trainer._result(
+            mp.iteration_time, (mp.iteration_time,), mp.epoch_time,
+            trainer.constants.run_startup_overhead,
         )
 
 

@@ -10,6 +10,7 @@ from repro import (
     TrainingConfig,
     train,
 )
+from repro.core.errors import ConfigurationError
 from repro.dnn.builder import NetworkBuilder
 from repro.dnn.shapes import Shape
 from repro.train import Trainer
@@ -139,9 +140,22 @@ def test_custom_network_override():
 def test_custom_network_requires_input_shape():
     b = NetworkBuilder("custom")
     b.conv(8, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="input_shape"):
         Trainer(TrainingConfig("custom", 16, 1, custom_network=True),
                 network=b.build())
+
+
+def test_speed_factor_for_a_gpu_outside_the_run_is_rejected():
+    config = TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.P2P)
+    with pytest.raises(ConfigurationError, match="gpu 9"):
+        Trainer(config, gpu_speed_factors={9: 2.0})
+
+
+@pytest.mark.parametrize("factor", [0, -1.5, "slow", None])
+def test_non_positive_speed_factor_is_rejected(factor):
+    config = TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.P2P)
+    with pytest.raises(ConfigurationError, match=r"gpu_speed_factors\[2\]"):
+        Trainer(config, gpu_speed_factors={2: factor})
 
 
 def test_describe_mentions_config():
