@@ -18,9 +18,6 @@ from repro.experiments.tables import render_table
 from repro.gpu import MemoryModel
 from repro.runner import SweepPoint, SweepRunner, SweepSpec
 
-#: Backwards-compatible alias (anchors were written against ``RunCache``).
-RunCache = SweepRunner
-
 P2P, NCCL = CommMethodName.P2P, CommMethodName.NCCL
 
 
@@ -31,7 +28,7 @@ class PaperAnchor:
     anchor_id: str
     source: str                      # e.g. "Fig.3 / Sec.V-A"
     description: str
-    measure: Callable[[RunCache], float]
+    measure: Callable[[SweepRunner], float]
     expected: Optional[float] = None  # None for ordering-only anchors
     rel_tol: float = 0.15
     #: For ordering anchors: measured value must be positive.
@@ -74,19 +71,19 @@ class ValidationReport:
         return self.passed == self.total
 
 
-def _speedup(cache: RunCache, net, batch, gpus, method,
+def _speedup(cache: SweepRunner, net, batch, gpus, method,
              scaling=ScalingMode.STRONG) -> float:
     base = cache.get(net, batch, 1, method, scaling)
     return cache.get(net, batch, gpus, method, scaling).speedup_over(base)
 
 
-def _advantage(cache: RunCache, net, gpus) -> float:
+def _advantage(cache: SweepRunner, net, gpus) -> float:
     p2p = cache.get(net, 16, gpus, P2P)
     nccl = cache.get(net, 16, gpus, NCCL)
     return p2p.epoch_time / nccl.epoch_time
 
 
-def _t2_overhead(cache: RunCache, net, batch) -> float:
+def _t2_overhead(cache: SweepRunner, net, batch) -> float:
     p2p = cache.get(net, batch, 1, P2P)
     nccl = cache.get(net, batch, 1, NCCL)
     return 100.0 * (nccl.epoch_time / p2p.epoch_time - 1.0)

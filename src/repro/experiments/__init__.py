@@ -28,7 +28,6 @@ Experiment   Paper artifact
 ===========  =====================================================
 """
 
-from repro.experiments.runner import RunCache
 from repro.runner import SweepRunner, SweepSpec
 
-__all__ = ["RunCache", "SweepRunner", "SweepSpec"]
+__all__ = ["SweepRunner", "SweepSpec"]

@@ -12,7 +12,7 @@ execution path:
   progress events, bounded retry-with-backoff and per-point wall-clock
   timeouts (failed points degrade to :class:`FailureInfo` outcomes under
   the spec's :class:`FailurePolicy` instead of aborting the sweep), plus
-  the legacy ``RunCache`` ``get``/``try_get`` interface.
+  a single-point ``get``/``try_get`` interface.
 * :mod:`repro.runner.store`       -- :class:`ResultStore`: persistent
   JSON cache keyed by content fingerprint; :class:`ShardedResultStore`
   adds per-shard directories and a write-ahead journal for concurrent

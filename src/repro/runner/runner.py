@@ -3,7 +3,7 @@
 :class:`SweepRunner` is the single execution path for every experiment
 sweep in the library.  It layers three result sources, checked in order:
 
-1. an in-process memo (what the old ``RunCache`` provided),
+1. an in-process memo,
 2. an optional persistent :class:`~repro.runner.store.ResultStore`
    keyed by content fingerprint,
 3. actual simulation -- serially by default, or on a
@@ -296,7 +296,7 @@ class RunnerStats:
 class SweepRunner:
     """Executes :class:`SweepSpec` points with memoization and caching.
 
-    Also provides the legacy ``RunCache`` interface (:meth:`get` /
+    Also provides a single-point interface (:meth:`get` /
     :meth:`try_get` / ``len``), so anchor validation and ad-hoc callers
     can fetch single configurations through the same memo the sweeps
     fill.
@@ -478,7 +478,7 @@ class SweepRunner:
         return values
 
     # ------------------------------------------------------------------
-    # Single-point interface (RunCache compatibility)
+    # Single-point interface
     # ------------------------------------------------------------------
     def run_point(self, point: SweepPoint) -> Any:
         """Execute one point (memo/disk-cached); raises on OOM."""

@@ -11,7 +11,7 @@ from repro.analysis.validation import (
     validate,
 )
 from repro.core.config import SimulationConfig
-from repro.experiments.runner import RunCache
+from repro.runner import SweepRunner
 
 FAST = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
@@ -39,21 +39,21 @@ def test_ordering_anchor_verdict():
 
 def test_validate_subset_runs():
     subset = [a for a in PAPER_ANCHORS if a.anchor_id.startswith("t4-")]
-    report = validate(RunCache(sim=FAST), anchors=subset)
+    report = validate(SweepRunner(sim=FAST), anchors=subset)
     assert report.total == len(subset)
     assert report.passed == report.total
 
 
 def test_full_validation_passes():
     """Every encoded paper anchor holds under the fast simulation config."""
-    report = validate(RunCache(sim=FAST))
+    report = validate(SweepRunner(sim=FAST))
     failed = [v.anchor.anchor_id for v in report.verdicts if not v.passed]
     assert report.all_passed, failed
 
 
 def test_render_contains_verdicts():
     subset = [a for a in PAPER_ANCHORS if a.anchor_id == "t4-alexnet-64"]
-    report = validate(RunCache(sim=FAST), anchors=subset)
+    report = validate(SweepRunner(sim=FAST), anchors=subset)
     text = render(report)
     assert "PASS" in text
     assert "1/1 anchors passed" in text

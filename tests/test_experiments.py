@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.experiments import RunCache
+from repro.experiments import SweepRunner
 from repro.experiments import (
     ablations,
     nccl_ablation,
@@ -22,7 +22,7 @@ FAST_SIM = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
 @pytest.fixture(scope="module")
 def cache():
-    return RunCache(sim=FAST_SIM)
+    return SweepRunner(sim=FAST_SIM)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_nccl_ablation_reduced(cache):
 
 
 # ----------------------------------------------------------------------
-# RunCache
+# SweepRunner single-point interface (get / try_get)
 # ----------------------------------------------------------------------
 def test_run_cache_memoizes(cache):
     from repro.core.config import CommMethodName
@@ -187,14 +187,14 @@ def test_run_cache_memoizes(cache):
 def test_run_cache_try_get_oom():
     from repro.core.config import CommMethodName
 
-    cache = RunCache(sim=FAST_SIM)
+    cache = SweepRunner(sim=FAST_SIM)
     assert cache.try_get("inception-v3", 512, 1, CommMethodName.P2P) is None
 
 
 def test_empty_cache_is_still_used(cache):
-    """Regression: an empty RunCache is falsy (len == 0) but must not be
+    """Regression: an empty SweepRunner is falsy (len == 0) but must not be
     replaced by a fresh one inside experiment modules."""
-    fresh = RunCache(sim=FAST_SIM)
+    fresh = SweepRunner(sim=FAST_SIM)
     assert len(fresh) == 0
     fig3_training_time.run(fresh, networks=("lenet",), batch_sizes=(16,),
                            gpu_counts=(1,))
@@ -204,7 +204,7 @@ def test_empty_cache_is_still_used(cache):
 def test_report_fast_mode():
     from repro.experiments import report
 
-    fresh = RunCache(sim=FAST_SIM)
+    fresh = SweepRunner(sim=FAST_SIM)
     text = report.generate(fresh, fast=True, timestamp="2026-01-01T00:00:00")
     assert "# Reproduction report" in text
     assert "Table I" in text and "Figure 5" in text

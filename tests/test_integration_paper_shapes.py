@@ -9,14 +9,14 @@ hold.  See EXPERIMENTS.md for the full paper-vs-measured record.
 import pytest
 
 from repro.core.config import CommMethodName, ScalingMode, SimulationConfig
-from repro.experiments.runner import RunCache
+from repro.runner import SweepRunner
 
 SIM = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return RunCache(sim=SIM)
+    return SweepRunner(sim=SIM)
 
 
 def speedup(cache, net, batch, gpus, method, scaling=ScalingMode.STRONG):
