@@ -9,12 +9,13 @@ between.
 
 The server-model simulation itself lives in the strategy registry
 (:class:`~repro.train.strategies.AsyncUpdateStrategy`, registered as
-``"async-update"``); :class:`AsyncTrainer` is the thin legacy wrapper
-that compiles the network and returns the historical
-:class:`AsyncResult` shape.  New code should run
-``Trainer(config.with strategy="async-update")`` (or the ``strategies``
-experiment) and read :attr:`~repro.train.results.TrainingResult.async_stats`
-instead -- see docs/TRAINING.md for the migration notes.
+``"async-update"``); :class:`AsyncTrainer` is the thin wrapper that
+compiles the network and returns the :class:`AsyncResult` shape the
+runner's ``mode="async"`` points cache.  Through the registry
+(``TrainingConfig(..., strategy="async-update")`` or the ``strategies``
+experiment) the same accounting lands on
+:attr:`~repro.train.results.TrainingResult.async_stats` -- see
+docs/TRAINING.md.
 
 Convergence itself is out of scope for a performance study, but
 :attr:`AsyncResult.effective_epoch_time` exposes the standard
@@ -127,12 +128,3 @@ class AsyncTrainer:
             server_updates=measured.stats.server_updates,
         )
 
-
-def train_async(
-    config: TrainingConfig,
-    sim: SimulationConfig = SimulationConfig(),
-    constants: CalibrationConstants = CALIBRATION,
-    **kwargs,
-) -> AsyncResult:
-    """Convenience wrapper mirroring :func:`repro.train.train`."""
-    return AsyncTrainer(config, sim=sim, constants=constants, **kwargs).run()

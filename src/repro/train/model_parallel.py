@@ -258,13 +258,3 @@ class ModelParallelEstimator:
             pipeline_microbatches=m,
         )
 
-
-def train_model_parallel(
-    config: TrainingConfig,
-    pipeline_microbatches: int = 1,
-    **kwargs,
-) -> ModelParallelResult:
-    """Convenience wrapper mirroring :func:`repro.train.train`."""
-    return ModelParallelEstimator(
-        config, pipeline_microbatches=pipeline_microbatches, **kwargs
-    ).run()

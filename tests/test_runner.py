@@ -33,7 +33,7 @@ from repro.runner import (
     canonical,
     point_fingerprint,
 )
-from repro.train import train_async
+from repro.train import AsyncTrainer
 
 FAST = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
@@ -261,7 +261,7 @@ def test_parallel_async_points():
     results = parallel.run(two)
     assert async_result_to_dict(results.outcomes[0].result) == \
         async_result_to_dict(serial)
-    direct = train_async(_point(gpus=2).config, sim=FAST)
+    direct = AsyncTrainer(_point(gpus=2).config, sim=FAST).run()
     assert async_result_to_dict(results.outcomes[0].result) == \
         async_result_to_dict(direct)
 
@@ -356,10 +356,10 @@ def test_uncacheable_points_still_execute(tmp_path):
 # Serialization round-trips (schema v2)
 # ----------------------------------------------------------------------
 def test_async_serialization_round_trip():
-    result = train_async(
+    result = AsyncTrainer(
         TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.P2P),
         sim=FAST,
-    )
+    ).run()
     data = json.loads(json.dumps(async_result_to_dict(result)))
     back = async_result_from_dict(data)
     assert back.config == result.config

@@ -5,7 +5,6 @@ import pytest
 from repro import CommMethodName, SimulationConfig, TrainingConfig, train
 from repro.core.errors import ConfigurationError
 from repro.dnn import build_network, compile_network, network_input_shape
-from repro.train import train_model_parallel
 from repro.train.model_parallel import ModelParallelEstimator, partition_network
 
 FAST = SimulationConfig(warmup_iterations=1, measure_iterations=2)
@@ -73,7 +72,7 @@ def test_partition_validation(alexnet_parts):
 # Estimation
 # ----------------------------------------------------------------------
 def test_result_basic_invariants():
-    r = train_model_parallel(TrainingConfig("alexnet", 16, 2))
+    r = ModelParallelEstimator(TrainingConfig("alexnet", 16, 2)).run()
     assert r.iteration_time > 0
     assert r.epoch_time > 0
     assert r.images_per_second > 0
@@ -88,7 +87,7 @@ def test_mp_trade_off_matches_paper():
     for net in ("alexnet", "resnet"):
         dp = train(TrainingConfig(net, 16, 2, comm_method=CommMethodName.P2P),
                    sim=FAST)
-        mp = train_model_parallel(TrainingConfig(net, 16, 2))
+        mp = ModelParallelEstimator(TrainingConfig(net, 16, 2)).run()
         ratios[net] = mp.epoch_time / dp.epoch_time
     assert ratios["alexnet"] < 1.3          # near parity
     assert ratios["resnet"] > 1.5           # clearly worse
@@ -97,26 +96,26 @@ def test_mp_trade_off_matches_paper():
 
 def test_mp_has_no_gradient_communication():
     """Boundary traffic only: far less than DP's 2x model size."""
-    r = train_model_parallel(TrainingConfig("alexnet", 16, 2))
+    r = ModelParallelEstimator(TrainingConfig("alexnet", 16, 2)).run()
     stats = compile_network(build_network("alexnet"),
                             network_input_shape("alexnet"))
     assert r.communication_bytes_per_iteration < stats.model_bytes
 
 
 def test_pipelining_helps_when_stages_balanced():
-    plain = train_model_parallel(TrainingConfig("resnet", 64, 4))
-    piped = train_model_parallel(TrainingConfig("resnet", 64, 4),
-                                 pipeline_microbatches=4)
+    plain = ModelParallelEstimator(TrainingConfig("resnet", 64, 4)).run()
+    piped = ModelParallelEstimator(TrainingConfig("resnet", 64, 4),
+                                   pipeline_microbatches=4).run()
     assert piped.epoch_time < plain.epoch_time
 
 
 def test_microbatch_validation():
     with pytest.raises(ConfigurationError):
-        train_model_parallel(TrainingConfig("alexnet", 16, 2),
-                             pipeline_microbatches=0)
+        ModelParallelEstimator(TrainingConfig("alexnet", 16, 2),
+                               pipeline_microbatches=0).run()
     with pytest.raises(ConfigurationError):
-        train_model_parallel(TrainingConfig("alexnet", 16, 2),
-                             pipeline_microbatches=3)
+        ModelParallelEstimator(TrainingConfig("alexnet", 16, 2),
+                               pipeline_microbatches=3).run()
 
 
 def test_custom_network_needs_shape():
@@ -126,6 +125,6 @@ def test_custom_network_needs_shape():
 
 
 def test_determinism():
-    a = train_model_parallel(TrainingConfig("googlenet", 16, 4))
-    b = train_model_parallel(TrainingConfig("googlenet", 16, 4))
+    a = ModelParallelEstimator(TrainingConfig("googlenet", 16, 4)).run()
+    b = ModelParallelEstimator(TrainingConfig("googlenet", 16, 4)).run()
     assert a.epoch_time == b.epoch_time
