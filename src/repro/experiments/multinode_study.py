@@ -7,17 +7,14 @@ a cluster of DGX-1s on EDR InfiniBand: NCCL's rings must cross the
 communication cost jumps at the node boundary -- the crossover every
 multi-node deployment has to engineer around.
 
-Since the cluster tier landed, the study routes through the rail-aware
-fabric and hierarchical collectives by default (``fabric``/``collective``
-arguments; see docs/SCALING.md); requesting the old single-attachment
-model with ``fabric="aggregated"`` still works but warns once, like the
-deprecated ``train_async`` entry point.  For the full 8-to-1024-GPU grid
-use the ``cluster`` experiment (:mod:`repro.experiments.cluster_scaling`).
+The study routes through the rail-aware fabric and hierarchical
+collectives (``fabric`` selects a ``TrainingConfig.cluster_fabric``; see
+docs/SCALING.md).  For the full 8-to-1024-GPU grid use the ``cluster``
+experiment (:mod:`repro.experiments.cluster_scaling`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -25,26 +22,9 @@ from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
 from repro.experiments.tables import render_table
 from repro.runner import SweepPoint, SweepRunner, SweepSpec
 
-#: Default cluster-tier knobs (the ``aggregated`` fabric is deprecated).
+#: Default cluster-tier knobs.
 DEFAULT_FABRIC = "single-switch"
 DEFAULT_COLLECTIVE = "hierarchical-ring"
-
-_warned_aggregated = False
-
-
-def _deprecate_aggregated() -> None:
-    """Warn once when the pre-rail aggregated IB path is requested."""
-    global _warned_aggregated
-    if not _warned_aggregated:
-        _warned_aggregated = True
-        warnings.warn(
-            'multinode_study fabric="aggregated" is deprecated: the single '
-            "width-4 IB attachment ignores per-HCA rails; use the default "
-            'rail-aware fabric (fabric="single-switch") or the cluster '
-            "experiment instead (see docs/SCALING.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass(frozen=True)
@@ -84,12 +64,6 @@ class MultiNodeStudyResult:
 
 def _point_config(network: str, batch_size: int, nodes: int,
                   fabric: str) -> TrainingConfig:
-    if fabric == "aggregated":
-        _deprecate_aggregated()
-        return TrainingConfig(
-            network, batch_size, 8 * nodes,
-            comm_method=CommMethodName.NCCL, cluster_nodes=nodes,
-        )
     return TrainingConfig(
         network, batch_size, 8 * nodes,
         comm_method=CommMethodName.NCCL, cluster_nodes=nodes,
