@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate: link check + executable doc examples + coverage.
 
-Four checks over README.md and docs/*.md, all run by the CI docs job:
+Five checks over README.md and docs/*.md, all run by the CI docs job:
 
 1. **Relative links resolve.**  Every markdown link or inline-code
    reference to a repository path (``[text](docs/COMM.md)``,
@@ -21,6 +21,11 @@ Four checks over README.md and docs/*.md, all run by the CI docs job:
    exactly ``repro.experiments.cli.all_subcommands()`` (requires
    ``PYTHONPATH=src``), so the documented vocabulary cannot drift from
    the parser.
+5. **Documented imports resolve.**  Every ``import repro...`` and
+   ``from repro... import name`` in a ```` ```python ```` fence and in
+   ``examples/*.py`` must name an existing module and attribute
+   (requires ``PYTHONPATH=src``), so removing or renaming an API fails
+   the gate wherever the docs or examples still use it.
 
 Exit status is non-zero on any failure.
 
@@ -31,7 +36,9 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import doctest
+import importlib
 import pathlib
 import re
 import sys
@@ -98,6 +105,65 @@ def doctest_blocks(path: pathlib.Path, text: str) -> Tuple[int, List[str]]:
     return run, problems
 
 
+def python_fences(text: str) -> Iterable[Tuple[int, str]]:
+    """(index, source) of every python fence; doctest prompts stripped."""
+    parser = doctest.DocTestParser()
+    for index, match in enumerate(FENCE.finditer(text)):
+        lang, body = match.group(1), match.group(2)
+        if lang != "python":
+            continue
+        if ">>>" in body:
+            body = "".join(ex.source for ex in parser.get_examples(body))
+        yield index, body
+
+
+def unresolved_imports(source: str) -> List[str]:
+    """The ``repro`` imports in ``source`` that do not resolve."""
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module_name, attr in names:
+            if module_name.split(".")[0] != "repro":
+                continue
+            try:
+                module = importlib.import_module(module_name)
+            except ImportError:
+                problems.append(f"import {module_name}")
+                continue
+            if attr not in (None, "*") and not hasattr(module, attr):
+                try:
+                    importlib.import_module(f"{module_name}.{attr}")
+                except ImportError:
+                    problems.append(f"from {module_name} import {attr}")
+    return problems
+
+
+def check_imports(files: Iterable[pathlib.Path]) -> List[str]:
+    """Every ``repro`` import in python fences and examples resolves."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    sources = []
+    for path in files:
+        for index, body in python_fences(path.read_text()):
+            sources.append((f"{path.relative_to(REPO_ROOT)} fenced block "
+                            f"{index}", body))
+    for path in sorted((REPO_ROOT / "examples").glob("*.py")):
+        sources.append((str(path.relative_to(REPO_ROOT)), path.read_text()))
+    problems = []
+    for where, source in sources:
+        try:
+            missing = unresolved_imports(source)
+        except SyntaxError as exc:
+            problems.append(f"{where}: does not parse ({exc.msg})")
+            continue
+        problems.extend(f"{where}: unresolved {imp}" for imp in missing)
+    return problems
+
+
 def check_subsystem_index() -> List[str]:
     """Every ``src/repro/*`` subpackage appears in README's docs index."""
     readme = (REPO_ROOT / "README.md").read_text()
@@ -151,6 +217,7 @@ def main(argv: List[str]) -> int:
         problems.extend(block_problems)
         status = "FAIL" if block_problems else "ok"
         print(f"{path.relative_to(REPO_ROOT)}: {run} doctest block(s) [{status}]")
+    problems.extend(check_imports(files))
     if not argv:  # repo-wide coverage checks only on the default file set
         problems.extend(check_subsystem_index())
         problems.extend(check_cli_reference())
@@ -160,7 +227,7 @@ def main(argv: List[str]) -> int:
             print(f"ERROR: {problem}")
         return 1
     print(f"\nall links resolve, {total_blocks} doctest block(s) pass, "
-          f"docs index and CLI reference complete")
+          f"imports resolve, docs index and CLI reference complete")
     return 0
 
 
