@@ -46,6 +46,7 @@ from repro.core.errors import ConfigurationError, FaultPlanError
 from repro.faults.plan import FaultPlan
 from repro.gpu import GpuDevice
 from repro.gpu.kernel import KernelSpec
+from repro.perf.spans import PERF
 from repro.sim import Environment
 from repro.sim.events import Event
 from repro.topology import Fabric, Router, build_dgx1v
@@ -408,6 +409,8 @@ class AsyncUpdateStrategy(ReductionStrategy):
             for pos in range(len(devices))
         ]
         env.run(until=env.all_of(workers))
+        if PERF.enabled:
+            PERF.count("sim.events", env.dispatched)
 
         measured = [
             t for pos, it, t in state.iteration_records
