@@ -267,7 +267,7 @@ class P2PCommunicator(Communicator):
         for c, chunk_bytes in enumerate(chunks):
             yield ready[src][c]
             for leg in route.legs:
-                yield self.env.process(self.fabric.dma(leg, chunk_bytes))
+                yield from self.fabric.dma(leg, chunk_bytes)
             # Count down the per-chunk barrier on the receiving GPU.
             dst_missing[c] -= 1
             if dst_missing[c] == 0:
@@ -326,7 +326,7 @@ class P2PCommunicator(Communicator):
         for c, chunk_bytes in enumerate(chunks):
             yield have[src][c]
             for leg in route.legs:
-                yield self.env.process(self.fabric.dma(leg, chunk_bytes))
+                yield from self.fabric.dma(leg, chunk_bytes)
             if not have[dst][c].triggered:
                 have[dst][c].succeed()
         self._record_transfer("p2p", src, dst, sum(chunks), start, self.env.now)

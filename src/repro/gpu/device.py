@@ -64,7 +64,8 @@ class GpuDevice:
         """Process: execute one kernel on this GPU's SM array."""
         issued = self.env.now
         req = self.engine.request()
-        yield req
+        if not req.triggered:
+            yield req
         start = self.env.now
         if self.slowdown is not None:
             duration = kernel.duration * self.slowdown.at(start)
@@ -90,8 +91,3 @@ class GpuDevice:
                             gpu=self.index, kernel=kernel.name,
                             wait=start - issued, at=start,
                         ))
-
-    def run_kernels(self, kernels) -> Generator[Event, None, None]:
-        """Process: execute a list of kernels back to back."""
-        for kernel in kernels:
-            yield self.env.process(self.run_kernel(kernel))

@@ -55,6 +55,12 @@ class EventBus:
         """
         return bool(self._handlers.get(event_type) or self._handlers.get(None))
 
+    def delivers_only_to(self, event_type: Type[ObsEvent], handler: Handler) -> bool:
+        """Whether publishing an ``event_type`` event would call ``handler``
+        and nothing else (no other typed handler, no wildcard)."""
+        handlers = self._handlers
+        return handlers.get(event_type) == [handler] and not handlers.get(None)
+
     def subscriber_count(self, event_type: Optional[Type[ObsEvent]] = None) -> int:
         """Number of handlers registered for ``event_type`` (or wildcard)."""
         key = None if event_type in (None, ObsEvent) else event_type

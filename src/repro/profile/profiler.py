@@ -9,7 +9,9 @@ ask :meth:`Profiler.wants` before building an event.  The familiar record
 lists (``.kernels``, ``.transfers``, ``.apis``, ``.spans``) are
 maintained by a built-in bus subscriber, so existing aggregation code
 keeps working unchanged, while any number of additional subscribers
-(metrics bridge, JSONL recorder) can ride the same stream.
+(metrics bridge, JSONL recorder) can ride the same stream.  While that
+built-in subscriber is the only one for a type, ``record_*`` appends the
+record itself and builds no event: the lists come out the same.
 
 Measurement can be gated (``profiler.enabled``) so warm-up iterations do
 not pollute the statistics, mirroring how nvprof sessions are windowed.
@@ -114,34 +116,38 @@ class Profiler:
     # ------------------------------------------------------------------
     # Recording hooks (called by devices, communicators, trainer)
     # ------------------------------------------------------------------
+    def _record(self, event_type, handler, records, record_type, *fields) -> None:
+        """Publish an ``event_type`` event, or append its record directly
+        when ``handler`` (this profiler's list handler) is the only
+        subscriber.  Each event/record pair shares its field order."""
+        if self.bus.delivers_only_to(event_type, handler):
+            records.append(record_type(*fields))
+        else:
+            self.bus.publish(event_type(*fields))
+
     def record_kernel(self, gpu: int, kernel: KernelSpec, start: float, end: float) -> None:
         if self.enabled:
-            self.bus.publish(
-                KernelEvent(gpu=gpu, name=kernel.name, layer=kernel.layer,
-                            stage=kernel.stage, start=start, end=end)
-            )
+            self._record(KernelEvent, self._on_kernel, self.kernels, KernelRecord,
+                         gpu, kernel.name, kernel.layer, kernel.stage, start, end)
 
     def record_transfer(
         self, kind: str, src: int, dst: int, nbytes: int, start: float, end: float
     ) -> None:
         if self.enabled:
-            self.bus.publish(
-                TransferEvent(kind=kind, src=src, dst=dst, nbytes=nbytes,
-                              start=start, end=end)
-            )
+            self._record(TransferEvent, self._on_transfer, self.transfers,
+                         TransferRecord, kind, src, dst, nbytes, start, end)
 
     def record_api(self, name: str, gpu: int, start: float, end: float) -> None:
         if self.enabled:
-            self.bus.publish(ApiEvent(name=name, gpu=gpu, start=start, end=end))
+            self._record(ApiEvent, self._on_api, self.apis, ApiRecord,
+                         name, gpu, start, end)
 
     def record_span(
         self, name: str, gpu: int, iteration: int, start: float, end: float
     ) -> None:
         if self.enabled:
-            self.bus.publish(
-                SpanEvent(name=name, gpu=gpu, iteration=iteration,
-                          start=start, end=end)
-            )
+            self._record(SpanEvent, self._on_span, self.spans, SpanRecord,
+                         name, gpu, iteration, start, end)
 
     @contextlib.contextmanager
     def span(self, name: str, gpu: int = -1, iteration: int = 0) -> Iterator[None]:

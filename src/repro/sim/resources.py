@@ -19,7 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
+    """A claim on a :class:`Resource` slot.
+
+    A claim on a free slot is born granted and already processed: it never
+    enters the event heap, and a process that sees it ``triggered`` can go
+    on without yielding it.
+    """
 
     __slots__ = ("resource",)
 
@@ -34,7 +39,8 @@ class Resource:
     Usage inside a process generator::
 
         req = resource.request()
-        yield req
+        if not req.triggered:  # free slots are granted at once
+            yield req
         try:
             yield env.timeout(service_time)
         finally:
@@ -60,11 +66,18 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> Request:
-        """Claim a slot; the returned event fires once the slot is granted."""
+        """Claim a slot; the returned event fires once the slot is granted.
+
+        A free slot is granted at once: the request comes back triggered
+        and processed, with no heap entry.  Yielding it still works (the
+        process resumes at the same instant), but costs an event.
+        """
         req = Request(self.env, self)
         if len(self._users) < self.capacity:
             self._users.append(req)
-            req.succeed()
+            req._ok = True
+            req._value = None
+            req._processed = True
         else:
             self._waiting.append(req)
         return req

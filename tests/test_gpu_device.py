@@ -49,9 +49,15 @@ def test_different_gpus_run_in_parallel(env):
 
 def test_run_kernels_sequences(env, device):
     kernels = [_kernel(f"k{i}", 0.5) for i in range(4)]
-    env.process(device.run_kernels(kernels))
+
+    def chain():
+        for kernel in kernels:
+            yield from device.run_kernel(kernel)
+
+    env.process(chain())
     env.run()
     assert env.now == pytest.approx(2.0)
+    assert [k.name for k in device.profiler.kernels] == ["k0", "k1", "k2", "k3"]
 
 
 def test_profiler_records_kernels(env, device):

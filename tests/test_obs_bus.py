@@ -148,6 +148,47 @@ def test_shared_bus_between_profilers():
     assert len(a.kernels) == len(b.kernels) == 1
 
 
+def _record_all(p):
+    p.record_kernel(0, _kernel("a"), 0.0, 1.0)
+    p.record_kernel(1, _kernel("b", stage="bp"), 0.5, 2.0)
+    p.record_transfer("p2p", 0, 1, 10, 0.0, 1.0)
+    p.record_api("cudaLaunchKernel", 0, 0.0, 0.1)
+    p.record_span("fp", 0, 0, 0.0, 1.0)
+    return p.kernels, p.transfers, p.apis, p.spans
+
+
+def test_record_lists_same_with_or_without_extra_subscriber():
+    alone = _record_all(Profiler())
+    watched = Profiler()
+    seen = []
+    watched.bus.subscribe(KernelEvent, seen.append)
+    assert _record_all(watched) == alone
+    assert [e.name for e in seen] == ["a", "b"]
+
+
+def test_wildcard_subscriber_receives_every_kernel_event():
+    p = Profiler()
+    seen = []
+    p.bus.subscribe(None, seen.append)
+    kernels = _record_all(p)[0]
+    got = [e for e in seen if isinstance(e, KernelEvent)]
+    assert [(e.gpu, e.name, e.stage, e.start, e.end) for e in got] == [
+        (k.gpu, k.name, k.stage, k.start, k.end) for k in kernels]
+    assert len(got) == 2
+
+
+def test_bus_delivers_only_to():
+    bus = EventBus()
+    own = bus.subscribe(KernelEvent, lambda e: None)
+    assert bus.delivers_only_to(KernelEvent, own)
+    assert not bus.delivers_only_to(SpanEvent, own)
+    other = bus.subscribe(KernelEvent, lambda e: None)
+    assert not bus.delivers_only_to(KernelEvent, own)
+    bus.unsubscribe(KernelEvent, other)
+    bus.subscribe(None, lambda e: None)
+    assert not bus.delivers_only_to(KernelEvent, own)
+
+
 # ----------------------------------------------------------------------
 # span() context manager
 # ----------------------------------------------------------------------

@@ -81,6 +81,61 @@ def test_count_and_queue_length():
     assert r.queue_length == 2
 
 
+def test_free_slot_is_granted_without_an_event():
+    env = Environment()
+    r = Resource(env)
+    before = env.dispatched
+    req = r.request()
+    assert req.triggered and req.ok
+    assert r.count == 1
+    env.run()
+    assert env.dispatched == before  # no heap entry was made
+
+
+def test_queued_requests_are_granted_fifo_on_release():
+    env = Environment()
+    r = Resource(env)
+    held = r.request()
+    waiters = [r.request() for _ in range(3)]
+    assert not any(w.triggered for w in waiters)
+    granted = []
+    for w in waiters:
+        w.callbacks.append(lambda e, w=w: granted.append(waiters.index(w)))
+    r.release(held)
+    env.run()
+    assert granted == [0]
+    r.release(waiters[0])
+    r.release(waiters[1])
+    env.run()
+    assert granted == [0, 1, 2]
+
+
+def test_yielding_a_granted_request_still_resumes():
+    env = Environment()
+    r = Resource(env)
+    log = []
+
+    def user():
+        req = r.request()
+        assert req.triggered
+        yield req
+        log.append(env.now)
+        r.release(req)
+
+    env.process(user())
+    env.run()
+    assert log == [0.0]
+    assert r.count == 0
+
+
+def test_cancel_of_granted_request_is_error():
+    env = Environment()
+    r = Resource(env)
+    req = r.request()
+    with pytest.raises(SimulationError):
+        r.cancel(req)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     holds=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=12),
